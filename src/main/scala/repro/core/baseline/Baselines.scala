@@ -1,10 +1,10 @@
 package repro.core.baseline
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, sum}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.query.AggQuery
+import repro.core.query.{AggQuery, SumProduct}
 import repro.core.schema.JoinTree
 
 /** The mainstream strategies LMFAO is compared against (paper §1: systems
@@ -13,37 +13,18 @@ import repro.core.schema.JoinTree
   */
 object Baselines {
 
-  /** Natural join of all relations, composed in BFS order over the tree. */
-  def joinAll(tree: JoinTree, tables: Map[String, DataFrame]): DataFrame = {
-    val start = tree.relations.head.name
-    var acc = tables(start)
-    val seen = scala.collection.mutable.Set(start)
-    val queue = scala.collection.mutable.Queue(start)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      tree.neighbors(n).foreach { m =>
-        if (!seen.contains(m)) {
-          seen += m
-          queue += m
-          acc = acc.join(tables(m), tree.joinKeys(n, m), "inner")
-        }
-      }
+  /** Natural join of all relations, composed along the tree's BFS edges. */
+  def joinAll(tree: JoinTree, tables: Map[String, DataFrame]): DataFrame =
+    tree.bfsEdges.foldLeft(tables(tree.relations.head.name)) { case (acc, (n, m)) =>
+      acc.join(tables(m), tree.joinKeys(n, m), "inner")
     }
-    acc
-  }
 
   /** Evaluate one query over an (already joined) dataset D. */
   def aggOver(d: DataFrame, q: AggQuery): DataFrame = {
     val filtered = q.filters.foldLeft(d)((acc, p) => acc.where(p.column))
-    val exprs = q.measures.map(m => sum(productOf(m)).as(m.name))
-    val df =
-      if (q.groupBy.isEmpty) filtered.agg(exprs.head, exprs.tail: _*)
-      else filtered.groupBy(q.groupBy.map(col): _*).agg(exprs.head, exprs.tail: _*)
-    df.select(q.outputColumns.map(col): _*)
+    SumProduct.aggregate(filtered, q.groupBy, q.measures.map(m => m.name -> SumProduct.column(m.factors, Nil)))
+      .select(q.outputColumns.map(col): _*)
   }
-
-  private def productOf(m: repro.core.query.Measure): Column =
-    m.factors.map(_.column).foldLeft(lit(1.0))(_ * _)
 
   /** Per-query baseline: the join is recomputed for every query (no sharing
     * at all — each aggregate is its own join+aggregate Spark job).

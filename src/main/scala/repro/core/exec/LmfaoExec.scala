@@ -2,13 +2,13 @@ package repro.core.exec
 
 import scala.collection.mutable
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions.{col, lit, sum}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
-import repro.core.query.{Factor, Predicate}
-import repro.core.viewgen.{AggRef, Plan, QueryOutput, ViewId}
+import repro.core.query.{Predicate, SumProduct}
+import repro.core.viewgen.{Plan, QueryOutput, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
@@ -39,13 +39,10 @@ object LmfaoExec {
     }
   }
 
-  /** Run a plan over the given base relations.
-    *
-    * @param tables       one DataFrame per relation of the plan's join tree
-    * @param persistViews allow caching of multi-consumer views and shared
-    *                     group frames (on by default)
+  /** Run a plan over the given base relations, one DataFrame per relation
+    * of the plan's join tree.
     */
-  def run(tables: Map[String, DataFrame], plan: Plan, persistViews: Boolean = true): Result = {
+  def run(tables: Map[String, DataFrame], plan: Plan): Result = {
     plan.tree.relations.foreach { r =>
       require(tables.contains(r.name), s"missing DataFrame for relation ${r.name}")
       r.attrs.foreach(a => require(tables(r.name).columns.contains(a),
@@ -64,6 +61,11 @@ object LmfaoExec {
     val viewFrames = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
     val caches = mutable.ArrayBuffer.empty[DataFrame]
+    def cached(df: DataFrame): DataFrame = {
+      val f = df.persist(StorageLevel.MEMORY_AND_DISK)
+      caches += f
+      f
+    }
 
     groups.foreach { g =>
       val base = filtered(g.node)
@@ -75,46 +77,31 @@ object LmfaoExec {
       }
       // One aggregate pass per merged view plus one per distinct output
       // group-by; share the join frame when there is more than one pass.
-      val outputPasses = g.outputs.map(_.query.groupBy).distinct
-      val passes = g.views.size + outputPasses.size
-      val shared =
-        if (persistViews && passes > 1 && g.incoming.nonEmpty) {
-          val f = frame.persist(StorageLevel.MEMORY_AND_DISK)
-          caches += f
-          f
-        } else frame
+      val passes = g.views.size + g.outputs.map(_.query.groupBy).distinct.size
+      val shared = if (passes > 1 && g.incoming.nonEmpty) cached(frame) else frame
 
       // Materialise every view, as LMFAO itself does: empirically the cached
       // small aggregates beat re-inlining their subplans into each consumer
       // (and they are read by the dependency-graph successors).
       g.views.foreach { v =>
-        val df = aggregate(shared, v.id.keys,
-          v.aggs.map(a => (a.name, a.localFactors, a.childRefs)))
-        viewFrames(v.id) =
-          if (persistViews) df.persist(StorageLevel.MEMORY_AND_DISK) else df
+        viewFrames(v.id) = SumProduct.aggregate(shared, v.id.keys,
+          v.aggs.map(a => a.name -> SumProduct.column(a.localFactors, a.childRefs.map(_.aggName))))
+          .persist(StorageLevel.MEMORY_AND_DISK)
       }
 
       // Multi-output pass: all queries of the group sharing a group-by list
       // are evaluated by one aggregate job.
       g.outputs.groupBy(_.query.groupBy).foreach { case (gb, outs) =>
         val aliased: Seq[(QueryOutput, Seq[(String, String)])] = outs.zipWithIndex.map {
-          case (o, i) =>
-            o -> o.query.measures.zip(o.terms).map { case (m, t) => (s"o${i}_${m.name}", m.name) }
+          case (o, i) => o -> o.query.measures.map(m => (s"o${i}_${m.name}", m.name))
         }
-        val exprs = aliased.flatMap { case (o, names) =>
-          o.query.measures.zip(o.terms).zip(names).map { case ((_, t), (alias, _)) =>
-            sum(product(t.localFactors, t.childRefs)).as(alias)
+        val sums = aliased.flatMap { case (o, names) =>
+          names.zip(o.terms).map { case ((alias, _), t) =>
+            alias -> SumProduct.column(t.localFactors, t.childRefs.map(_.aggName))
           }
         }
-        val combined =
-          if (gb.isEmpty) shared.agg(exprs.head, exprs.tail: _*)
-          else shared.groupBy(gb.map(col): _*).agg(exprs.head, exprs.tail: _*)
-        val combinedShared =
-          if (persistViews && outs.size > 1) {
-            val f = combined.persist(StorageLevel.MEMORY_AND_DISK)
-            caches += f
-            f
-          } else combined
+        val combined = SumProduct.aggregate(shared, gb, sums)
+        val combinedShared = if (outs.size > 1) cached(combined) else combined
         aliased.foreach { case (o, names) =>
           val cols = gb.map(col) ++ names.map { case (alias, name) => col(alias).as(name) }
           queryResults(o.query.name) =
@@ -124,19 +111,6 @@ object LmfaoExec {
     }
 
     Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq)
-  }
-
-  /** SUM(Π localFactors × Π childAggColumns) for each aggregate, grouped by `keys`. */
-  private def aggregate(frame: DataFrame, keys: Seq[String],
-                        aggs: Seq[(String, Seq[Factor], Seq[AggRef])]): DataFrame = {
-    val exprs = aggs.map { case (name, factors, refs) => sum(product(factors, refs)).as(name) }
-    if (keys.isEmpty) frame.agg(exprs.head, exprs.tail: _*)
-    else frame.groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
-  }
-
-  private def product(factors: Seq[Factor], refs: Seq[AggRef]): Column = {
-    val cols = factors.map(_.column) ++ refs.map(r => col(r.aggName))
-    cols.foldLeft(lit(1.0))(_ * _)
   }
 
   /** Push each predicate to every relation that contains its attribute. */

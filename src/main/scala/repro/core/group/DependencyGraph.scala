@@ -22,16 +22,6 @@ object DependencyGraph {
     topoSort(viewGroups ++ outputGroups)
   }
 
-  /** Directed edges (producer -> consumer) between groups. */
-  def edges(gs: Seq[ViewGroup]): Seq[(ViewGroup, ViewGroup)] = {
-    val producerOf: Map[ViewId, ViewGroup] =
-      gs.flatMap(g => g.produced.map(_ -> g)).toMap
-    for {
-      consumer <- gs
-      dep <- consumer.incoming.map(producerOf).distinct
-    } yield (dep, consumer)
-  }
-
   private def topoSort(gs: Seq[ViewGroup]): Seq[ViewGroup] = {
     val producerOf: Map[ViewId, ViewGroup] =
       gs.flatMap(g => g.produced.map(_ -> g)).toMap

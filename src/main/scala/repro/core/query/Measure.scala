@@ -1,6 +1,7 @@
 package repro.core.query
 
-import org.apache.spark.sql.Column
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.functions.{col, lit, sum}
 
 /** One unary factor f(attr) of a product measure. */
 final case class Factor(attr: String, fn: ScalarFn = ScalarFn.Identity) {
@@ -8,6 +9,24 @@ final case class Factor(attr: String, fn: ScalarFn = ScalarFn.Identity) {
   def sql: String = fn.sql(attr)
   /** Canonical identifier for signature-based aggregate dedup. */
   def tag: String = s"${fn.tag}($attr)"
+}
+
+/** The one way the engine and the baselines compute SUM-of-products
+  * aggregates on Spark.
+  */
+object SumProduct {
+
+  /** Π f_i(a_i) × Π aggCols, folded from 1.0: an empty product is 1, whose SUM counts tuples. */
+  def column(factors: Seq[Factor], aggCols: Seq[String]): Column =
+    (factors.map(_.column) ++ aggCols.map(col)).foldLeft(lit(1.0))(_ * _)
+
+  /** One aggregate pass over `frame`: `SUM(column) AS name` for each named
+    * column, grouped by `keys` (a single row when `keys` is empty).
+    */
+  def aggregate(frame: DataFrame, keys: Seq[String], sums: Seq[(String, Column)]): DataFrame = {
+    val exprs = sums.map { case (name, c) => sum(c).as(name) }
+    frame.groupBy(keys.map(col): _*).agg(exprs.head, exprs.tail: _*)
+  }
 }
 
 /** A measure SUM(Π_i f_i(a_i)) — the aggregate class LMFAO optimises.

@@ -4,31 +4,17 @@ import repro.core.schema.JoinTree
 
 /** Renders a batch query as DuckDB SQL over the base relations, for the
   * correctness oracle. The natural join is spelled as a chain of JOIN … USING
-  * clauses in BFS order from the first relation; the running intersection
-  * property guarantees each relation's join keys are already present in the
-  * prefix, so USING is well defined.
+  * clauses along `JoinTree.bfsEdges` (the order `Baselines.joinAll` joins
+  * in); the running intersection property guarantees each relation's join
+  * keys are already present in the prefix, so USING is well defined.
   */
 object SqlRender {
 
   /** FROM clause joining every relation of the tree. */
-  def fromClause(tree: JoinTree): String = {
-    val start = tree.relations.head.name
-    val sb = new StringBuilder(start)
-    val seen = scala.collection.mutable.Set(start)
-    val queue = scala.collection.mutable.Queue(start)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      tree.neighbors(n).foreach { m =>
-        if (!seen.contains(m)) {
-          seen += m
-          queue += m
-          val keys = tree.joinKeys(n, m)
-          sb ++= s" JOIN $m USING (${keys.mkString(", ")})"
-        }
-      }
+  def fromClause(tree: JoinTree): String =
+    tree.bfsEdges.foldLeft(tree.relations.head.name) { case (sql, (n, m)) =>
+      s"$sql JOIN $m USING (${tree.joinKeys(n, m).mkString(", ")})"
     }
-    sb.toString
-  }
 
   /** Full SELECT for an [[AggQuery]] over the natural join of the tree. */
   def querySql(tree: JoinTree, q: AggQuery): String = {

@@ -35,8 +35,15 @@ final case class JoinTree(
     relations.map(r => r.name -> m(r.name)).toMap
   }
 
+  /** The tree's edges in BFS order from `relations.head`, each as (relation
+    * already reached, newly reached relation). Joining along them in this
+    * order keeps every join key in the prefix, so the natural join can be
+    * written as a chain of binary equi-joins.
+    */
+  val bfsEdges: Seq[(String, String)] = walk(relations.head.name)((_, _) => true)
+
   // Connectivity (and therefore, with the edge count check, acyclicity).
-  require(reachableFrom(relations.head.name).size == relations.size, "join tree is not connected")
+  require(bfsEdges.size == relations.size - 1, "join tree is not connected")
 
   /** All attributes appearing anywhere in the tree. */
   val allAttrs: Set[String] = relations.flatMap(_.attrs).toSet
@@ -52,24 +59,27 @@ final case class JoinTree(
   // connected subgraph of the tree.
   allAttrs.foreach { a =>
     val holders = relations.filter(_.has(a)).map(_.name).toSet
-    val seen = scala.collection.mutable.Set(holders.head)
-    val stack = scala.collection.mutable.Stack(holders.head)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m => if (holders.contains(m) && !seen.contains(m)) { seen += m; stack.push(m) } }
-    }
-    require(seen == holders, s"running intersection violated for attribute $a (relations ${holders.mkString(",")})")
+    require(reach(holders.head)((_, m) => holders.contains(m)) == holders,
+      s"running intersection violated for attribute $a (relations ${holders.mkString(",")})")
   }
 
-  private def reachableFrom(start: String): Set[String] = {
+  /** BFS from `start` over the edges `follow` admits: the discovery edges
+    * (reached, newly reached) in visit order.
+    */
+  private def walk(start: String)(follow: (String, String) => Boolean): Seq[(String, String)] = {
     val seen = scala.collection.mutable.Set(start)
-    val stack = scala.collection.mutable.Stack(start)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m => if (!seen.contains(m)) { seen += m; stack.push(m) } }
+    val queue = scala.collection.mutable.Queue(start)
+    val out = scala.collection.mutable.ArrayBuffer.empty[(String, String)]
+    while (queue.nonEmpty) {
+      val n = queue.dequeue()
+      neighbors(n).foreach { m => if (follow(n, m) && seen.add(m)) { queue += m; out += ((n, m)) } }
     }
-    seen.toSet
+    out.toSeq
   }
+
+  /** Relations reachable from `start` over the edges `follow` admits. */
+  private def reach(start: String)(follow: (String, String) => Boolean): Set[String] =
+    walk(start)(follow).map(_._2).toSet + start
 
   /** Natural-join attributes between two adjacent relations. */
   def joinKeys(a: String, b: String): Seq[String] =
@@ -80,16 +90,7 @@ final case class JoinTree(
   /** Relations on `child`'s side of the (child, parent) edge, child included. */
   def subtreeNodes(child: String, parent: String): Set[String] = {
     require(neighbors(child).contains(parent), s"($child,$parent) is not an edge")
-    val seen = scala.collection.mutable.Set(child)
-    val stack = scala.collection.mutable.Stack(child)
-    while (stack.nonEmpty) {
-      val n = stack.pop()
-      neighbors(n).foreach { m =>
-        val crossesCut = n == child && m == parent
-        if (!crossesCut && !seen.contains(m)) { seen += m; stack.push(m) }
-      }
-    }
-    seen.toSet
+    reach(child)((n, m) => !(n == child && m == parent))
   }
 
   /** Attributes visible in the subtree on `child`'s side of (child, parent). */
@@ -110,28 +111,5 @@ final case class JoinTree(
     }
     visit(root, None)
     out.toSeq
-  }
-
-  /** Children of `node` when rooted at `root` (neighbors away from the root). */
-  def childrenToward(node: String, root: String): Seq[String] = {
-    if (node == root) neighbors(node)
-    else {
-      val p = parentToward(node, root)
-      neighbors(node).filterNot(_ == p)
-    }
-  }
-
-  /** Parent of `node` on the path to `root`; errors if node == root. */
-  def parentToward(node: String, root: String): String = {
-    require(node != root, s"$node is the root")
-    // BFS from root; parent of n is its predecessor.
-    val parent = scala.collection.mutable.Map.empty[String, String]
-    val queue = scala.collection.mutable.Queue(root)
-    val seen = scala.collection.mutable.Set(root)
-    while (queue.nonEmpty) {
-      val n = queue.dequeue()
-      neighbors(n).foreach { m => if (!seen.contains(m)) { seen += m; parent(m) = n; queue += m } }
-    }
-    parent(node)
   }
 }

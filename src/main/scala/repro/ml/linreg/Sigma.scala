@@ -37,9 +37,10 @@ object Sigma {
       }.toMap
 
     // Observed categorical domains come from the per-category count queries.
-    val catValueLists: Map[String, Seq[Long]] = f.categorical.map { c =>
-      c -> grouped(s"sigma_c_$c", Seq(c), s"agg_c_$c").keys.map(_.head).toSeq.sorted
-    }.toMap
+    val catCounts: Map[String, Map[Seq[Long], Double]] =
+      f.categorical.map(c => c -> grouped(s"sigma_c_$c", Seq(c), s"agg_c_$c")).toMap
+    val catValueLists: Map[String, Seq[Long]] =
+      catCounts.map { case (c, counts) => c -> counts.keys.map(_.head).toSeq.sorted }
 
     val nCont = f.continuous.size
     val catOffsets = scala.collection.mutable.Map.empty[String, Int]
@@ -69,7 +70,7 @@ object Sigma {
     } set(contIdxAll(a), contIdxAll(b), scalar(s"sigma_p_${a}_$b", s"agg_p_${a}_$b"))
 
     f.categorical.foreach { c =>
-      grouped(s"sigma_c_$c", Seq(c), s"agg_c_$c").foreach { case (Seq(v), cntV) =>
+      catCounts(c).foreach { case (Seq(v), cntV) =>
         val idx = catValueIndex(c)(v)
         set(0, idx, cntV)     // intercept × one-hot
         set(idx, idx, cntV)   // one-hot diagonal (x² = x for 0/1)

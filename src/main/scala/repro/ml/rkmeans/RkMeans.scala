@@ -109,36 +109,18 @@ object RkMeans {
     (JoinTree(newRelations, tree.edges, tree.sizes), newTables)
   }
 
-  /** Conventional Lloyd's over the full projected dataset, the paper's
-    * quality comparator. The projection π_dims(D) (with multiplicities) is the
-    * Step-1 result re-weighted per distinct tuple; for an exact comparator we
-    * collect the distinct dim-tuples of D with their counts — identical
-    * objective to running unweighted Lloyd's over all of D.
+  /** π_dims(D) with multiplicities: the distinct dim tuples of the join with
+    * their counts, as the points and weights of a weighted k-means problem.
+    * Weighted Lloyd's on them has the same objective as unweighted Lloyd's
+    * over all of D, which makes it the paper's exact quality comparator.
     */
-  def fullLloyd(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
-                dims: Seq[String], k: Int, seed: Long = 42): WeightedKMeans.Model = {
-    val q = AggQuery("lloyd_full", dims, Seq(Measure.count("w_full")))
-    val plan = ViewGeneration.plan(tree, Seq(q))
-    val res = LmfaoExec.run(tables, plan)
-    val rows = res.queryResults("lloyd_full").collect()
+  def weightedPoints(tree: JoinTree, tables: Map[String, DataFrame],
+                     dims: Seq[String]): (Array[Array[Double]], Array[Double]) = {
+    val q = AggQuery("rk_points", dims, Seq(Measure.count("w_point")))
+    val res = LmfaoExec.run(tables, ViewGeneration.plan(tree, Seq(q)))
+    val rows = res.queryResults(q.name).collect()
     res.cleanup()
-    val pts = rows.map(r => dims.map(a => r.getAs[Any](a).toString.toDouble).toArray)
-    val ws = rows.map(_.getAs[Double]("w_full"))
-    WeightedKMeans.fit(pts, ws, k, seed = seed)
-  }
-
-  /** Cost of centroids against the full weighted dataset (for the relative
-    * approximation metric).
-    */
-  def fullCost(spark: SparkSession, tree: JoinTree, tables: Map[String, DataFrame],
-               dims: Seq[String], centroids: Array[Array[Double]]): Double = {
-    val q = AggQuery("cost_full", dims, Seq(Measure.count("w_cost")))
-    val plan = ViewGeneration.plan(tree, Seq(q))
-    val res = LmfaoExec.run(tables, plan)
-    val rows = res.queryResults("cost_full").collect()
-    res.cleanup()
-    val pts = rows.map(r => dims.map(a => r.getAs[Any](a).toString.toDouble).toArray)
-    val ws = rows.map(_.getAs[Double]("w_cost"))
-    WeightedKMeans.cost(pts, ws, centroids)
+    val points = rows.map(r => dims.map(a => r.getAs[Any](a).toString.toDouble).toArray)
+    (points, rows.map(_.getAs[Double]("w_point")))
   }
 }

@@ -1,5 +1,7 @@
 package repro.ml.tree
 
+import org.apache.spark.sql.DataFrame
+
 import repro.core.query.{AggQuery, Measure, Predicate}
 
 /** A decision-tree feature: continuous features split on thresholds (≤ t),
@@ -38,6 +40,21 @@ object NodeBatch {
         filters = pathConds,
       )
     }
+
+  /** Collects the results of a [[queries]] batch into per-feature value
+    * statistics, one entry per observed value of each feature.
+    */
+  def valueStats(features: Seq[TreeFeature], results: Map[String, DataFrame]): Map[String, Seq[ValueStats]] =
+    features.map { f =>
+      f.attr -> results(s"node_${f.attr}").collect().map { r =>
+        ValueStats(
+          r.getAs[Any](f.attr).toString.toLong,
+          r.getAs[Double](s"cnt_${f.attr}"),
+          r.getAs[Double](s"sy_${f.attr}"),
+          r.getAs[Double](s"sy2_${f.attr}"),
+        )
+      }.toSeq
+    }.toMap
 
   /** The paper-style count of *conceptual* aggregates the node explores:
     * three aggregates (SUM(1), SUM(Y), SUM(Y²)) per candidate condition; a

@@ -1,5 +1,7 @@
 package repro.core.baseline
 
+import org.apache.spark.sql.functions.lit
+
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.exec.LmfaoExec
 import repro.core.query._
@@ -30,6 +32,37 @@ class BaselinesSpec extends SparkSpec {
   test("joinAll column set is the union of all attributes") {
     val d = Baselines.joinAll(chainTree, chainTables)
     assert(d.columns.toSet == chainTree.allAttrs)
+  }
+
+  private lazy val trees =
+    Seq(chainTree, starTree, repro.data.Favorita.tree(0.01), repro.data.Retailer.tree(0.01))
+
+  test("bfsEdges reach every relation once, from one already joined, over shared keys") {
+    trees.foreach { t =>
+      val order = t.relations.head.name +: t.bfsEdges.map(_._2)
+      assert(order.sorted == t.relations.map(_.name).sorted)
+      t.bfsEdges.foreach { case (n, m) =>
+        assert(order.indexOf(n) < order.indexOf(m), s"$n must be joined before $m")
+        assert(t.joinKeys(n, m).nonEmpty, s"($n,$m) has no join keys")
+      }
+    }
+  }
+
+  test("fromClause and joinAll join the relations in the same order on the same keys") {
+    trees.foreach { t =>
+      val first +: joins = SqlRender.fromClause(t).split(" JOIN ").toSeq
+      val steps = joins.map { j =>
+        val Array(m, using) = j.split(" USING ")
+        m -> using.stripPrefix("(").stripSuffix(")").split(", ").toSeq
+      }
+      // Spark's USING join outputs the keys, then the left's other columns,
+      // then the right's; so joinAll's column order pins its join order.
+      val expected = steps.foldLeft(t.relationByName(first).attrs) { case (cols, (m, keys)) =>
+        keys ++ cols.filterNot(keys.contains) ++ t.relationByName(m).attrs.filterNot(keys.contains)
+      }
+      val tables = t.relations.map(r => r.name -> spark.range(0).select(r.attrs.map(a => lit(0L).as(a)): _*)).toMap
+      assert(Baselines.joinAll(t, tables).columns.toSeq == expected, SqlRender.fromClause(t))
+    }
   }
 
   test("per-query baseline matches DuckDB on the whole batch") {

@@ -1,6 +1,6 @@
 package repro.core.exec
 
-import repro.{Check, Oracle, SparkSpec, TestData}
+import repro.{Check, SparkSpec, TestData}
 import repro.core.query._
 
 /** Engine-vs-DuckDB oracle tests over the micro schemas: every result the
@@ -178,13 +178,5 @@ class LmfaoExecSpec extends SparkSpec {
     val res = LmfaoExec.run(chainTables, plan)
     assert(res.queryResults("q").columns.toSeq == Seq("b", "c", "s"))
     res.cleanup()
-  }
-
-  test("run with persistViews=false still produces correct results") {
-    val query = q("q", Seq("d"), Seq(Measure.sum("s", "a")))
-    val plan = repro.core.viewgen.ViewGeneration.plan(chainTree, Seq(query))
-    val res = LmfaoExec.run(chainTables, plan, persistViews = false)
-    Oracle.assertEquivalent(res.queryResults("q"),
-      repro.core.query.SqlRender.querySql(chainTree, query), chainTables.toSeq: _*)
   }
 }

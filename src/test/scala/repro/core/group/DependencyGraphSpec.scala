@@ -68,17 +68,6 @@ class DependencyGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("edges expose producer-consumer pairs") {
-    val gs = DependencyGraph.groups(demoPlan)
-    val es = DependencyGraph.edges(gs)
-    es.foreach { case (producer, consumer) =>
-      assert(consumer.incoming.exists(producer.produced.contains))
-    }
-    // Q3's group at Items consumes the Sales->Items view group.
-    val itemsOut = gs.find(g => g.node == "Items" && g.direction.isEmpty).get
-    assert(es.exists { case (p, c) => c == itemsOut && p.node == "Sales" && p.direction.contains("Items") })
-  }
-
   test("groups at a leaf relation have no incoming views") {
     val gs = DependencyGraph.groups(demoPlan)
     val leafGroups = gs.filter(g => Set("Stores", "Oil", "Holidays", "Items").contains(g.node) && g.direction.nonEmpty)

@@ -74,28 +74,6 @@ class JoinTreeSpec extends AnyFunSuite {
     assert(edges.last == (("B", "C")))
   }
 
-  test("parentToward follows the path to the root") {
-    val t = diamondless
-    assert(t.parentToward("C", "A") == "B")
-    assert(t.parentToward("A", "C") == "B")
-    assert(t.parentToward("D", "A") == "B")
-  }
-
-  test("parentToward rejects the root itself") {
-    assertThrows[IllegalArgumentException](diamondless.parentToward("A", "A"))
-  }
-
-  test("childrenToward at the root lists all neighbors") {
-    val t = diamondless
-    assert(t.childrenToward("B", "B").toSet == Set("A", "C", "D"))
-  }
-
-  test("childrenToward away from the root excludes the parent") {
-    val t = diamondless
-    assert(t.childrenToward("B", "A").toSet == Set("C", "D"))
-    assert(t.childrenToward("C", "A").isEmpty)
-  }
-
   test("sizeOf falls back to 1 for unknown relations") {
     assert(diamondless.sizeOf("A") == 100L)
     assert(JoinTree(Seq(Relation("X", Seq("x"))), Nil).sizeOf("X") == 1L)

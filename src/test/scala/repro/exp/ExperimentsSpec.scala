@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
+import repro.core.viewgen.SharingStats
 import repro.util.Table
 
 /** Fast structural checks of the experiment harness (the timed runs live in
@@ -37,6 +38,19 @@ class ExperimentsSpec extends SparkSpec {
     assert(s.nUnmergedViews == 344)
     assert(s.nMergedViews * 4 <= s.nUnmergedViews,
       s"merging too weak: ${s.nMergedViews} of ${s.nUnmergedViews}")
+  }
+
+  test("T1 sharing statistics are pinned for every workload at SF 0.01") {
+    // Golden values, in workload order. A planner change that moves any
+    // count must update them deliberately.
+    val expected = Seq(
+      SharingStats(3, 3, 15, 6, 7, 8),
+      SharingStats(32, 32, 160, 16, 31, 23),
+      SharingStats(86, 86, 344, 12, 52, 17),
+      SharingStats(7, 21, 28, 8, 16, 12),
+      SharingStats(4, 4, 20, 9, 9, 11),
+    )
+    assert(T1Sharing.workloads(0.01).map(T1Sharing.stats) == expected)
   }
 
   test("T1 Rk-means workload is n+1 queries") {

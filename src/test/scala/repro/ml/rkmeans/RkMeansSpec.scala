@@ -55,9 +55,10 @@ class RkMeansSpec extends SparkSpec {
   test("Rk-means cost is within a small factor of Lloyd's on D") {
     val k = 3
     val r = RkMeans.run(spark, tree, tables, dims, k = k, kPerDim = 5)
-    val rkCost = RkMeans.fullCost(spark, tree, tables, dims, r.centroids)
-    val lloyd = RkMeans.fullLloyd(spark, tree, tables, dims, k)
-    val lloydCost = RkMeans.fullCost(spark, tree, tables, dims, lloyd.centroids)
+    val (points, weights) = RkMeans.weightedPoints(tree, tables, dims)
+    val rkCost = WeightedKMeans.cost(points, weights, r.centroids)
+    val lloyd = WeightedKMeans.fit(points, weights, k)
+    val lloydCost = WeightedKMeans.cost(points, weights, lloyd.centroids)
     // The paper proves a constant-factor approximation; on this easy micro
     // data the factor should be modest.
     assert(rkCost <= lloydCost * 3.0 + 1e-9, s"rk=$rkCost lloyd=$lloydCost")
@@ -70,9 +71,19 @@ class RkMeansSpec extends SparkSpec {
     assert(r.centroids.forall(_.length == 1))
   }
 
+  test("weightedPoints are the distinct dim tuples of D with their multiplicities") {
+    val (points, weights) = RkMeans.weightedPoints(tree, tables, dims)
+    val expected = Baselines.joinAll(tree, tables).groupBy("x", "u").count().collect()
+      .map(r => (Seq(r.getAs[Long]("x").toDouble, r.getAs[Long]("u").toDouble), r.getAs[Long]("count").toDouble))
+    assert(points.length == expected.length)
+    assert(points.map(_.toSeq).zip(weights).toMap == expected.toMap)
+  }
+
+  // Full-data Lloyd is WeightedKMeans on weightedPoints.
   test("fullLloyd's weighted objective equals cost of its own centroids") {
-    val lloyd = RkMeans.fullLloyd(spark, tree, tables, dims, 3)
-    val c = RkMeans.fullCost(spark, tree, tables, dims, lloyd.centroids)
+    val (points, weights) = RkMeans.weightedPoints(tree, tables, dims)
+    val lloyd = WeightedKMeans.fit(points, weights, 3)
+    val c = WeightedKMeans.cost(points, weights, lloyd.centroids)
     assert(math.abs(c - lloyd.cost) < 1e-6 * (1 + lloyd.cost))
   }
 

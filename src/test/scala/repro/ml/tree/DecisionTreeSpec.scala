@@ -1,6 +1,6 @@
 package repro.ml.tree
 
-import repro.{Check, SparkSpec, TestData}
+import repro.{Check, Oracle, SparkSpec, TestData}
 import repro.core.query.{CmpOp, Measure, Predicate}
 import repro.core.schema.{JoinTree, Relation}
 
@@ -24,6 +24,17 @@ class DecisionTreeSpec extends SparkSpec {
   private val plantedFeatures = Seq(
     TreeFeature("x", FeatureKind.Continuous),
     TreeFeature("g", FeatureKind.Categorical))
+
+  test("Predicate.holds agrees with its Spark column and its DuckDB SQL for every operator") {
+    import spark.implicits._
+    val t = Seq(4L, 5L, 6L).toDF("x")
+    Seq(CmpOp.Le, CmpOp.Ge, CmpOp.Eq, CmpOp.Ne, CmpOp.Lt, CmpOp.Gt).foreach { op =>
+      val p = Predicate("x", op, 5)
+      val onSpark = t.where(p.column)
+      assert(onSpark.as[Long].collect().toSet == Set(4L, 5L, 6L).filter(p.holds), op)
+      Oracle.assertEquivalent(onSpark, s"SELECT CAST(x AS BIGINT) AS x FROM t WHERE ${p.sql}", "t" -> t)
+    }
+  }
 
   test("the root split finds the planted threshold") {
     val (tree, tables) = planted
