@@ -10,7 +10,7 @@ class T2BatchRuntimeBench extends SparkSpec {
     val sf = Workloads.benchSf
     val table = T2BatchRuntime.run(spark, sf)
     println(table.render)
-    assert(table.rows.size == 6) // 2 datasets x 3 methods
+    assert(table.rows.size == 8) // 2 datasets x 4 methods
     assert(table.rows.forall(_.apply(3).toDouble > 0))
   }
 }

@@ -42,4 +42,17 @@ object Baselines {
     val d = joinAll(tree, tables).persist(StorageLevel.MEMORY_AND_DISK)
     (d, queries.map(q => q.name -> aggOver(d, q)).toMap)
   }
+
+  /** Fused baseline: the whole batch as one aggregate pass over the join D,
+    * with the engine's fused aggregate (`SumProduct.fused`) and one collect.
+    * D is read once, so nothing is cached. Results are local DataFrames.
+    */
+  def runFused(tree: JoinTree, tables: Map[String, DataFrame],
+               queries: Seq[AggQuery]): Map[String, DataFrame] = {
+    require(queries.map(_.filters.toSet).distinct.size == 1, "a fused batch needs one shared filter set")
+    val d = queries.head.filters.foldLeft(joinAll(tree, tables))((acc, p) => acc.where(p.column))
+    val fused = SumProduct.fused(d, queries.map(q =>
+      q.groupBy -> q.measures.map(m => m.name -> SumProduct.column(m.factors, Nil))))
+    queries.map(_.name).zip(fused.collectMembers()).toMap
+  }
 }

@@ -3,28 +3,36 @@ package repro.core.exec
 import scala.collection.mutable
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.functions.broadcast
 import org.apache.spark.storage.StorageLevel
 
 import repro.core.group.{DependencyGraph, ViewGroup}
-import repro.core.query.{Predicate, SumProduct}
-import repro.core.viewgen.{Plan, QueryOutput, ViewId}
+import repro.core.query.{Factor, Predicate, SumProduct}
+import repro.core.schema.JoinTree
+import repro.core.viewgen.{AggRef, Plan, ViewId}
 
 /** The LMFAO execution layer on Spark.
   *
-  * Each multi-output view group becomes one join of the node's relation with
-  * the group's incoming view frames; every merged view of the group is a
-  * single `groupBy().agg()` pass over that shared frame, and *all query
-  * outputs of the group that share a group-by list are combined into one
-  * aggregate pass* (the paper's multi-output plans: e.g. the 36 scalar Σ
-  * aggregates of a regression batch become one job). Every view is
-  * materialised (cached), exactly as LMFAO's engine computes and stores each
-  * view; Catalyst/Tungsten play the role of the paper's code-generation layer.
+  * Each multi-output view group is one pass: the node's relation joined with
+  * the group's incoming views, and *all* members of the group (the merged
+  * views of a directional group, or every query output rooted at the node)
+  * computed by one fused aggregate over that frame (`SumProduct.fused`: a
+  * grouping-sets aggregate when the members group by different keys). This
+  * is the paper's multi-output plan, with Catalyst/Tungsten in the role of
+  * its code-generation layer.
+  *
+  * Two plan-time rules pick the physical plan: a view joins its consumer as
+  * a broadcast when its size bound is at most the consumer relation's size,
+  * and a frame is cached only when it is read more than once: a view read by
+  * two or more groups, or a fused result feeding two or more views. An
+  * output group's result is collected once, so every query result is a local
+  * DataFrame and reading it starts no Spark job.
   */
 object LmfaoExec {
 
-  /** Execution result: per-query DataFrames plus the materialised views and
-    * the groups that produced them (for inspection and benchmarks).
+  /** Execution result: per-query local DataFrames plus the views and the
+    * groups that produced them (for inspection and benchmarks). `caches`
+    * are the frames the run persisted; `cleanup` releases them.
     */
   final case class Result(
       queryResults: Map[String, DataFrame],
@@ -33,14 +41,11 @@ object LmfaoExec {
       caches: Seq[DataFrame],
   ) {
     /** Unpersist every frame cached by the run. */
-    def cleanup(): Unit = {
-      viewFrames.values.foreach(_.unpersist())
-      caches.foreach(_.unpersist())
-    }
+    def cleanup(): Unit = caches.foreach(_.unpersist())
   }
 
   /** Run a plan over the given base relations, one DataFrame per relation
-    * of the plan's join tree.
+    * of the plan's join tree. All Spark work happens here.
     */
   def run(tables: Map[String, DataFrame], plan: Plan): Result = {
     plan.tree.relations.foreach { r =>
@@ -58,63 +63,53 @@ object LmfaoExec {
     val filtered = applyFilters(plan.tree, tables, filters)
 
     val groups = DependencyGraph.groups(plan)
+    val readers = groups.flatMap(_.incoming).groupBy(identity).map { case (v, gs) => v -> gs.size }
     val viewFrames = mutable.Map.empty[ViewId, DataFrame]
     val queryResults = mutable.Map.empty[String, DataFrame]
     val caches = mutable.ArrayBuffer.empty[DataFrame]
-    def cached(df: DataFrame): DataFrame = {
-      val f = df.persist(StorageLevel.MEMORY_AND_DISK)
-      caches += f
-      f
-    }
+    def cachedIf(shared: Boolean)(df: DataFrame): DataFrame =
+      if (!shared) df else { caches += df; df.persist(StorageLevel.MEMORY_AND_DISK) }
 
     groups.foreach { g =>
-      val base = filtered(g.node)
-      val frame = g.incoming.foldLeft(base) { (acc, vid) =>
-        val vf = viewFrames(vid)
+      val frame = g.incoming.foldLeft(filtered(g.node)) { (acc, vid) =>
         val keys = acc.columns.toSet intersect vid.keys.toSet
         require(keys.nonEmpty, s"no join keys between ${g.node} frame and ${vid.label}")
-        acc.join(vf, keys.toSeq.sorted, "inner")
+        val vf = viewFrames(vid)
+        acc.join(if (sizeBound(plan.tree, vid) <= plan.tree.sizeOf(g.node)) broadcast(vf) else vf,
+          keys.toSeq.sorted, "inner")
       }
-      // One aggregate pass per merged view plus one per distinct output
-      // group-by; share the join frame when there is more than one pass.
-      val passes = g.views.size + g.outputs.map(_.query.groupBy).distinct.size
-      val shared = if (passes > 1 && g.incoming.nonEmpty) cached(frame) else frame
+      def product(fs: Seq[Factor], refs: Seq[AggRef]) = SumProduct.column(fs, refs.map(_.aggName))
 
-      // Materialise every view, as LMFAO itself does: empirically the cached
-      // small aggregates beat re-inlining their subplans into each consumer
-      // (and they are read by the dependency-graph successors).
-      g.views.foreach { v =>
-        viewFrames(v.id) = SumProduct.aggregate(shared, v.id.keys,
-          v.aggs.map(a => a.name -> SumProduct.column(a.localFactors, a.childRefs.map(_.aggName))))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-      }
-
-      // Multi-output pass: all queries of the group sharing a group-by list
-      // are evaluated by one aggregate job.
-      g.outputs.groupBy(_.query.groupBy).foreach { case (gb, outs) =>
-        val aliased: Seq[(QueryOutput, Seq[(String, String)])] = outs.zipWithIndex.map {
-          case (o, i) => o -> o.query.measures.map(m => (s"o${i}_${m.name}", m.name))
+      if (g.direction.isDefined) {
+        val fused = SumProduct.fused(frame,
+          g.views.map(v => v.id.keys -> v.aggs.map(a => a.name -> product(a.localFactors, a.childRefs))))
+        val out = cachedIf(g.views.size > 1)(fused.frame)
+        g.views.zipWithIndex.foreach { case (v, i) =>
+          viewFrames(v.id) = cachedIf(g.views.size == 1 && readers(v.id) > 1)(fused.member(out, i))
         }
-        val sums = aliased.flatMap { case (o, names) =>
-          names.zip(o.terms).map { case ((alias, _), t) =>
-            alias -> SumProduct.column(t.localFactors, t.childRefs.map(_.aggName))
-          }
-        }
-        val combined = SumProduct.aggregate(shared, gb, sums)
-        val combinedShared = if (outs.size > 1) cached(combined) else combined
-        aliased.foreach { case (o, names) =>
-          val cols = gb.map(col) ++ names.map { case (alias, name) => col(alias).as(name) }
-          queryResults(o.query.name) =
-            combinedShared.select(cols: _*).select(o.query.outputColumns.map(col): _*)
-        }
+      } else {
+        val fused = SumProduct.fused(frame, g.outputs.map(o => o.query.groupBy ->
+          o.query.measures.zip(o.terms).map { case (m, t) => m.name -> product(t.localFactors, t.childRefs) }))
+        g.outputs.zip(fused.collectMembers()).foreach { case (o, df) => queryResults(o.query.name) = df }
       }
     }
 
     Result(queryResults.toMap, viewFrames.toMap, groups, caches.toSeq)
   }
 
+  /** An upper bound on the rows of view `v`: a view has at most one row per
+    * tuple of its source relation and value of each key from elsewhere, and
+    * at most one row per combination of key values, where a key's values are
+    * bounded by the smallest relation that holds it.
+    */
+  private def sizeBound(tree: JoinTree, v: ViewId): Double = {
+    def dom(k: String) = tree.relations.filter(_.has(k)).map(r => tree.sizeOf(r.name)).min.toDouble
+    val from = tree.relationByName(v.from)
+    math.min(tree.sizeOf(v.from) * v.keys.filterNot(from.has).map(dom).product, v.keys.map(dom).product)
+  }
+
   /** Push each predicate to every relation that contains its attribute. */
-  def applyFilters(tree: repro.core.schema.JoinTree, tables: Map[String, DataFrame],
+  def applyFilters(tree: JoinTree, tables: Map[String, DataFrame],
                    filters: Seq[Predicate]): Map[String, DataFrame] =
     tables.map { case (name, df) =>
       val rel = tree.relationByName(name)

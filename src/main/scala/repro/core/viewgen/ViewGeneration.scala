@@ -2,7 +2,7 @@ package repro.core.viewgen
 
 import scala.collection.mutable
 
-import repro.core.query.AggQuery
+import repro.core.query.{AggQuery, SumProduct}
 import repro.core.schema.JoinTree
 
 /** Sharing statistics of a generated plan — the quantities reproduced in
@@ -59,7 +59,7 @@ object ViewGeneration {
   private final class ViewBuilder(val id: ViewId, val index: Int) {
     val bySig = mutable.LinkedHashMap.empty[String, ViewAgg]
     def getOrAdd(sig: String, mk: String => ViewAgg): ViewAgg =
-      bySig.getOrElseUpdate(sig, mk(s"v${index}_a${bySig.size}"))
+      bySig.getOrElseUpdate(sig, mk(s"${SumProduct.Reserved}v${index}_a${bySig.size}"))
     def build: MergedView = MergedView(id, bySig.values.toSeq)
   }
 
@@ -69,7 +69,11 @@ object ViewGeneration {
     require(queries.map(_.name).distinct.size == queries.size, "duplicate query names in batch")
     queries.foreach { q =>
       q.attrs.foreach(a => require(tree.allAttrs.contains(a), s"query ${q.name}: unknown attribute $a"))
+      q.measures.foreach(m => require(!m.name.startsWith(SumProduct.Reserved),
+        s"query ${q.name}: measure name ${m.name} uses the engine's reserved prefix ${SumProduct.Reserved}"))
     }
+    tree.allAttrs.foreach(a => require(!a.startsWith(SumProduct.Reserved),
+      s"attribute $a uses the engine's reserved prefix ${SumProduct.Reserved}"))
 
     val roots = RootAssignment.assign(tree, queries, rootOverrides)
     val builders = mutable.LinkedHashMap.empty[ViewId, ViewBuilder]

@@ -80,6 +80,23 @@ class BaselinesSpec extends SparkSpec {
     d.unpersist()
   }
 
+  test("fused baseline matches DuckDB on the whole batch") {
+    val results = Baselines.runFused(chainTree, chainTables, batch)
+    batch.foreach { q =>
+      Oracle.assertEquivalent(results(q.name), SqlRender.querySql(chainTree, q), chainTables.toSeq: _*)
+    }
+  }
+
+  test("fused baseline matches DuckDB on a filtered batch, empty D included") {
+    for (p <- Seq(Predicate("a", CmpOp.Le, 4), Predicate("a", CmpOp.Gt, 999))) {
+      val filtered = batch.map(_.copy(filters = Seq(p)))
+      val results = Baselines.runFused(chainTree, chainTables, filtered)
+      filtered.foreach { q =>
+        Oracle.assertEquivalent(results(q.name), SqlRender.querySql(chainTree, q), chainTables.toSeq: _*)
+      }
+    }
+  }
+
   test("baseline and LMFAO agree on the star schema") {
     val queries = Seq(
       AggQuery("s1", Seq("u"), Seq(Measure.sum("x1", "x"))),

@@ -1,7 +1,17 @@
 package repro.core.exec
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+
 import repro.{Check, SparkSpec, TestData}
+import repro.core.group.DependencyGraph
 import repro.core.query._
+import repro.core.schema.{JoinTree, Relation}
+import repro.core.viewgen.ViewGeneration
+import repro.exp.Workloads
+import repro.ml.linreg.SigmaBatch
 
 /** Engine-vs-DuckDB oracle tests over the micro schemas: every result the
   * engine produces is diffed against DuckDB running the textbook SQL over the
@@ -112,6 +122,29 @@ class LmfaoExecSpec extends SparkSpec {
       q("grouped", Seq("b"), Seq(Measure.count("c")), Seq(Predicate("a", CmpOp.Gt, 999)))))
     Check.lmfaoVsDuck(chainTree, chainTables, Seq(
       q("global", Nil, Seq(Measure.count("c")), Seq(Predicate("a", CmpOp.Gt, 999)))))
+    // Same root and incoming views: one fused grouping-sets pass, whose empty
+    // grouping set has no row on empty input; the scalar query keeps its NULL row.
+    val none = Seq(Predicate("a", CmpOp.Gt, 999))
+    val mixed = Seq(q("scalar", Nil, Seq(Measure.count("c")), none), q("byA", Seq("a"), Seq(Measure.count("c")), none))
+    val roots = Map("scalar" -> "A", "byA" -> "A")
+    assert(DependencyGraph.groups(ViewGeneration.plan(chainTree, mixed, roots)).exists(_.outputs.size == 2))
+    Check.lmfaoVsDuck(chainTree, chainTables, mixed, roots)
+  }
+
+  test("fused output group keeps NULL group-by values apart from other grouping sets") {
+    import spark.implicits._
+    val tree = JoinTree(Seq(Relation("A", Seq("a", "a2", "b")), Relation("B", Seq("b", "c"))), Seq(("A", "B")))
+    val rng = new scala.util.Random(4)
+    def maybe(n: Int) = if (rng.nextInt(3) == 0) None else Some(rng.nextInt(n) + 1L)
+    val tables = Map(
+      "A" -> Seq.fill(40)((maybe(4), maybe(3), rng.nextInt(5) + 1L)).toDF("a", "a2", "b"),
+      "B" -> Seq.fill(20)((rng.nextInt(5) + 1L, rng.nextInt(7) + 1L)).toDF("b", "c"))
+    val batch = Seq(
+      q("byA", Seq("a"), Seq(Measure.count("n"), Measure.sum("s", "c"))),
+      q("byA2", Seq("a2"), Seq(Measure.count("n"), Measure.sum("s", "c"))))
+    val roots = Map("byA" -> "A", "byA2" -> "A")
+    assert(DependencyGraph.groups(ViewGeneration.plan(tree, batch, roots)).exists(_.outputs.size == 2))
+    Check.lmfaoVsDuck(tree, tables, batch, roots)
   }
 
   test("a batch of mixed queries with mixed roots") {
@@ -170,6 +203,29 @@ class LmfaoExecSpec extends SparkSpec {
       q("q2", Nil, Seq(Measure.count("c2"))),
     ))
     assertThrows[IllegalArgumentException](LmfaoExec.run(chainTables, plan))
+  }
+
+  test("the Retailer Σ batch runs at most 4 Spark jobs per group, and its results none") {
+    val (tree, tables) = TestData.retailerMicro(spark)
+    val plan = ViewGeneration.plan(tree, SigmaBatch.queries(Workloads.retailerLr))
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    def withJobs[A](body: => A): (A, Int) = {
+      ListenerBusDrain(spark.sparkContext)
+      jobs.set(0)
+      val out = body
+      ListenerBusDrain(spark.sparkContext)
+      (out, jobs.get)
+    }
+    spark.sparkContext.addSparkListener(listener)
+    try {
+      val (res, runJobs) = withJobs(LmfaoExec.run(tables, plan))
+      assert(runJobs <= 4 * res.groups.size, s"$runJobs jobs for ${res.groups.size} groups")
+      assert(withJobs(res.queryResults.values.foreach(_.collect()))._2 == 0)
+      res.cleanup()
+    } finally spark.sparkContext.removeSparkListener(listener)
   }
 
   test("result column order matches the query's outputColumns") {

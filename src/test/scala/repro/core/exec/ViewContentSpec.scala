@@ -87,13 +87,17 @@ class ViewContentSpec extends SparkSpec {
   }
 
   test("cleanup unpersists every cached frame") {
-    // Two queries rooted at both ends so the middle views get two consumer
-    // groups and are actually materialised.
+    // C->B(c) is read by two groups (B->A and the outputs at B), so it is
+    // cached; B->A(b) and B->A(b,c) are one fused pass feeding two views,
+    // so that pass is cached too.
     val plan = ViewGeneration.plan(chainTree, Seq(
       AggQuery("q1", Nil, Seq(Measure.count("c1"))),
-      AggQuery("q2", Seq("b"), Seq(Measure.count("c2")))), Map("q1" -> "A", "q2" -> "A"))
+      AggQuery("q2", Seq("c"), Seq(Measure.count("c2"))),
+      AggQuery("q3", Nil, Seq(Measure.count("c3")))), Map("q1" -> "A", "q2" -> "A", "q3" -> "B"))
     val res = LmfaoExec.run(chainTables, plan)
-    res.queryResults.values.foreach(_.collect())
+    assert(res.caches.size == 2)
+    assert(res.caches.forall(_.storageLevel.useMemory))
+    res.viewFrames.values.foreach(_.collect())
     res.cleanup()
     res.viewFrames.values.foreach(df => assert(!df.storageLevel.useMemory && !df.storageLevel.useDisk))
     res.caches.foreach(df => assert(!df.storageLevel.useMemory && !df.storageLevel.useDisk))

@@ -158,6 +158,19 @@ class ViewGenerationSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](ViewGeneration.plan(fav, Nil))
   }
 
+  test("names in the engine's reserved prefix are rejected at plan time") {
+    val measure = AggQuery("q", Nil, Seq(Measure.count("lmfao_gid")))
+    val e1 = intercept[IllegalArgumentException](ViewGeneration.plan(chain, Seq(measure)))
+    assert(e1.getMessage.contains("reserved prefix lmfao_"))
+    val t = JoinTree(Seq(Relation("X", Seq("lmfao_v0_a0", "y"))), Nil)
+    val groupBy = AggQuery("q", Seq("lmfao_v0_a0"), Seq(Measure.count("c")))
+    val e2 = intercept[IllegalArgumentException](ViewGeneration.plan(t, Seq(groupBy)))
+    assert(e2.getMessage.contains("attribute lmfao_v0_a0 uses the engine's reserved prefix"))
+    // Engine-generated view columns live in the reserved namespace.
+    val plan = ViewGeneration.plan(chain, Seq(AggQuery("q", Nil, Seq(Measure.count("c")))))
+    assert(plan.views.flatMap(_.aggs).forall(_.name.startsWith("lmfao_")))
+  }
+
   test("single-relation trees need no views") {
     val t = JoinTree(Seq(Relation("X", Seq("x", "y"))), Nil)
     val q = AggQuery("q", Seq("x"), Seq(Measure.sum("s", "y")))

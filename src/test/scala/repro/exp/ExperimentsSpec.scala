@@ -61,9 +61,9 @@ class ExperimentsSpec extends SparkSpec {
   test("T2 measurement harness produces rows for every method at micro scale") {
     val ds = Workloads.favorita(spark, 0.001).cache()
     val queries = repro.ml.linreg.SigmaBatch.queries(Workloads.favoritaLr).take(6)
-    val rows = T2BatchRuntime.measure(ds, queries, Set("lmfao", "sharedjoin", "perquery"))
+    val rows = T2BatchRuntime.measure(ds, queries, Set("lmfao", "sharedjoin", "fused", "perquery"))
     ds.uncache()
-    assert(rows.map(_.method).toSet == Set("LMFAO", "SharedJoin", "PerQuery"))
+    assert(rows.map(_.method).toSet == Set("LMFAO", "SharedJoin", "FusedD", "PerQuery"))
     assert(rows.forall(_.seconds > 0))
     assert(rows.forall(_.queries == 6))
   }
